@@ -245,7 +245,7 @@ struct ColdStartResult {
 
 /// Cold-start cost of the digit MLP engine: a fresh in-process build
 /// (network construction, constraint projection, schedule
-/// compilation, conv autotune) vs mmap-loading a published plan
+/// compilation) vs mmap-loading a published plan
 /// artifact, bit-identity checked between the two on a shared sample
 /// batch. This is the serving cold-start path: a process with a warm
 /// MAN_PLAN_CACHE does the `load` column, one without does `compile`.
@@ -430,7 +430,7 @@ int main() {
   man::bench::print_banner(
       "Plan-artifact cold start: mmap load vs in-process build, digit MLP");
   const ColdStartResult cold = run_cold_start(mlp_engine);
-  std::cout << "build (projection + compile + autotune): "
+  std::cout << "build (projection + compile): "
             << man::util::format_double(cold.compile_s * 1e3, 2)
             << " ms, artifact mmap load: "
             << man::util::format_double(cold.load_s * 1e3, 3)

@@ -24,7 +24,6 @@ namespace {
 using man::backend::AsmStep;
 using man::backend::AsmWeight;
 using man::backend::ConvLayerPlan;
-using man::backend::ConvTileShape;
 using man::backend::DenseLayerPlan;
 using man::backend::PlanArray;
 using man::engine::CompiledConvStage;
@@ -77,8 +76,12 @@ void write_array_ref(BlobWriter& dir, BlobWriter& arrays,
 void write_asm_weights_ref(BlobWriter& dir, BlobWriter& arrays,
                            const PlanArray<AsmWeight>& values) {
   std::vector<AsmWeight> clean(values.size());
-  std::memset(static_cast<void*>(clean.data()), 0,
-              clean.size() * sizeof(AsmWeight));
+  // Exact-tier plans carry no schedule, and memset on an empty
+  // vector's null data() is undefined even for zero bytes.
+  if (!clean.empty()) {
+    std::memset(static_cast<void*>(clean.data()), 0,
+                clean.size() * sizeof(AsmWeight));
+  }
   for (std::size_t i = 0; i < values.size(); ++i) {
     clean[i].step_begin = values[i].step_begin;
     clean[i].step_count = values[i].step_count;
@@ -105,12 +108,6 @@ void write_synapse(BlobWriter& dir, const CompiledSynapse& synapse) {
   dir.write_u64(synapse.ops_per_inference.shifts);
   dir.write_u64(synapse.ops_per_inference.adds);
   dir.write_u64(synapse.ops_per_inference.negates);
-}
-
-void write_tile(BlobWriter& dir, const ConvTileShape& tile) {
-  dir.write_i32(tile.row_tile);
-  dir.write_i32(tile.col_vecs);
-  dir.write_u32(tile.weight_stationary ? 1 : 0);
 }
 
 void write_dense_plan(BlobWriter& dir, BlobWriter& arrays,
@@ -150,9 +147,6 @@ void write_conv_plan(BlobWriter& dir, BlobWriter& arrays,
   dir.write_u32(plan.zero_base);
   dir.write_i64(plan.in_min_raw);
   dir.write_i64(plan.in_max_raw);
-  write_tile(dir, plan.tile_avx2);
-  write_tile(dir, plan.tile_avx512);
-  dir.write_u32(plan.tiles_tuned ? 1 : 0);
   write_array_ref(dir, arrays, plan.weights);
   write_array_ref(dir, arrays, plan.biases);
   write_array_ref(dir, arrays, plan.patch_elems);
@@ -202,14 +196,6 @@ CompiledSynapse read_synapse(SpanReader& dir) {
   synapse.ops_per_inference.adds = dir.read_u64();
   synapse.ops_per_inference.negates = dir.read_u64();
   return synapse;
-}
-
-ConvTileShape read_tile(SpanReader& dir) {
-  ConvTileShape tile;
-  tile.row_tile = dir.read_i32();
-  tile.col_vecs = dir.read_i32();
-  tile.weight_stationary = dir.read_u32() != 0;
-  return tile;
 }
 
 DenseLayerPlan read_dense_plan(SpanReader& dir, const SpanReader& file) {
@@ -269,9 +255,6 @@ ConvLayerPlan read_conv_plan(SpanReader& dir, const SpanReader& file) {
   plan.zero_base = dir.read_u32();
   plan.in_min_raw = dir.read_i64();
   plan.in_max_raw = dir.read_i64();
-  plan.tile_avx2 = read_tile(dir);
-  plan.tile_avx512 = read_tile(dir);
-  plan.tiles_tuned = dir.read_u32() != 0;
   plan.weights = read_array_ref<std::int32_t>(dir, file);
   plan.biases = read_array_ref<std::int64_t>(dir, file);
   plan.patch_elems = read_array_ref<std::uint32_t>(dir, file);

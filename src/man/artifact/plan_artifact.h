@@ -34,7 +34,7 @@
 namespace man::artifact {
 
 /// Artifact format version; readers reject anything else.
-inline constexpr std::uint32_t kArtifactVersion = 1;
+inline constexpr std::uint32_t kArtifactVersion = 2;
 
 /// Serializes `engine` into a flat blob and publishes it at `path`
 /// atomically (same-directory temp file + rename, so a concurrent

@@ -101,14 +101,15 @@ void accumulate_planes_avx512(const DenseLayerPlan& plan,
   }
 }
 
-/// Default conv tile when the plan carries no autotuned shape: with
-/// 32 zmm registers a deeper row tile than the AVX2 default pays for
-/// itself before the autotuner has spoken.
-inline constexpr int kConvRowTile512 = 6;
+/// The fixed conv tile: 6 output rows × one 8-lane vector — with 32
+/// zmm registers a deeper row tile than the AVX2 kernel's pays off.
+constexpr ConvTileShape kTile = ConvLayerPlan::tile_avx512;
+static_assert(kTile.row_tile == 6 && kTile.col_vecs == 1,
+              "conv_tile_rows_avx512 covers row tiles 1..6 of one vector");
 
-/// One vectorized tile: RN output rows × CN 8-lane column groups
+/// One vectorized tile: RN output rows × one 8-lane column group
 /// starting at (oy0, ox), every filter — conv_tile_avx2 at zmm width.
-template <int RN, int CN>
+template <int RN>
 void conv_tile_avx512(const ConvLayerPlan& plan,
                       const std::int64_t* multiples, std::int64_t* out,
                       int oy0, int ox) {
@@ -120,15 +121,15 @@ void conv_tile_avx512(const ConvLayerPlan& plan,
   const std::size_t ebase0 = static_cast<std::size_t>(oy0) * plan.iw + ox;
   for (int r = 0; r < plan.oc; ++r) {
     const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
-    __m512i acc[RN * CN];
+    __m512i acc[RN];
     const __m512i bias =
         _mm512_set1_epi64(plan.biases[static_cast<std::size_t>(r)]);
-    for (int t = 0; t < RN * CN; ++t) acc[t] = bias;
+    for (int ty = 0; ty < RN; ++ty) acc[ty] = bias;
     for (int c = 0; c < plan.cols_padded; ++c) {
       const std::size_t cell = row + static_cast<std::size_t>(c);
       if (idx[cell] == plan.zero_base) continue;  // zero-step weight
-      __m512i product[RN * CN];
-      for (int t = 0; t < RN * CN; ++t) product[t] = _mm512_setzero_si512();
+      __m512i product[RN];
+      for (int ty = 0; ty < RN; ++ty) product[ty] = _mm512_setzero_si512();
       for (int q = 0; q < plan.planes; ++q) {
         const std::size_t pc = q * stride + cell;
         const std::uint32_t cell_idx = idx[pc];
@@ -136,37 +137,31 @@ void conv_tile_avx512(const ConvLayerPlan& plan,
         const __m128i sh = _mm_cvtsi32_si128(static_cast<int>(shifts[pc]));
         const std::int64_t* src = multiples + cell_idx + ebase0;
         for (int ty = 0; ty < RN; ++ty) {
-          for (int tx = 0; tx < CN; ++tx) {
-            const __m512i m = _mm512_loadu_si512(
-                src + static_cast<std::size_t>(ty) * plan.iw +
-                static_cast<std::size_t>(tx) * kZmmLanes);
-            product[ty * CN + tx] = _mm512_add_epi64(
-                product[ty * CN + tx], _mm512_sll_epi64(m, sh));
-          }
+          const __m512i m = _mm512_loadu_si512(
+              src + static_cast<std::size_t>(ty) * plan.iw);
+          product[ty] =
+              _mm512_add_epi64(product[ty], _mm512_sll_epi64(m, sh));
         }
       }
       const __m512i sign = _mm512_set1_epi64(signs[cell]);
-      for (int t = 0; t < RN * CN; ++t) {
-        acc[t] = _mm512_add_epi64(
-            acc[t],
-            _mm512_sub_epi64(_mm512_xor_si512(product[t], sign), sign));
+      for (int ty = 0; ty < RN; ++ty) {
+        acc[ty] = _mm512_add_epi64(
+            acc[ty],
+            _mm512_sub_epi64(_mm512_xor_si512(product[ty], sign), sign));
       }
     }
     for (int ty = 0; ty < RN; ++ty) {
-      for (int tx = 0; tx < CN; ++tx) {
-        _mm512_storeu_si512(
-            out + static_cast<std::size_t>(r) * positions +
-                static_cast<std::size_t>(oy0 + ty) * plan.ow + ox +
-                static_cast<std::size_t>(tx) * kZmmLanes,
-            acc[ty * CN + tx]);
-      }
+      _mm512_storeu_si512(
+          out + static_cast<std::size_t>(r) * positions +
+              static_cast<std::size_t>(oy0 + ty) * plan.ow + ox,
+          acc[ty]);
     }
   }
 }
 
 /// Masked tail tile: RN output rows × one partial 8-lane column group
 /// covering the final ow % 8 positions of each row — the arithmetic
-/// of conv_tile_avx512<RN, 1> with lane masking standing in for the
+/// of conv_tile_avx512<RN> with lane masking standing in for the
 /// scalar tail the narrower ISAs need (the AVX2 kernel loses up to 3
 /// positions per row to scalar code; lane masking loses none).
 /// Bit-identity is untouched: masked-out lanes are neither read nor
@@ -221,21 +216,18 @@ void conv_tile_tail_avx512(const ConvLayerPlan& plan,
   }
 }
 
-/// Runtime row count → compile-time RN dispatch for one column width.
-template <int CN>
+/// Runtime row count (the last row tile may be partial) →
+/// compile-time RN dispatch.
 void conv_tile_rows_avx512(const ConvLayerPlan& plan,
                            const std::int64_t* multiples, std::int64_t* out,
                            int oy0, int ox, int rn) {
-  static_assert(kMaxConvRowTile == 8, "extend the dispatch switch");
   switch (rn) {
-    case 8: conv_tile_avx512<8, CN>(plan, multiples, out, oy0, ox); break;
-    case 7: conv_tile_avx512<7, CN>(plan, multiples, out, oy0, ox); break;
-    case 6: conv_tile_avx512<6, CN>(plan, multiples, out, oy0, ox); break;
-    case 5: conv_tile_avx512<5, CN>(plan, multiples, out, oy0, ox); break;
-    case 4: conv_tile_avx512<4, CN>(plan, multiples, out, oy0, ox); break;
-    case 3: conv_tile_avx512<3, CN>(plan, multiples, out, oy0, ox); break;
-    case 2: conv_tile_avx512<2, CN>(plan, multiples, out, oy0, ox); break;
-    default: conv_tile_avx512<1, CN>(plan, multiples, out, oy0, ox); break;
+    case 6: conv_tile_avx512<6>(plan, multiples, out, oy0, ox); break;
+    case 5: conv_tile_avx512<5>(plan, multiples, out, oy0, ox); break;
+    case 4: conv_tile_avx512<4>(plan, multiples, out, oy0, ox); break;
+    case 3: conv_tile_avx512<3>(plan, multiples, out, oy0, ox); break;
+    case 2: conv_tile_avx512<2>(plan, multiples, out, oy0, ox); break;
+    default: conv_tile_avx512<1>(plan, multiples, out, oy0, ox); break;
   }
 }
 
@@ -244,14 +236,7 @@ void conv_tile_tail_rows_avx512(const ConvLayerPlan& plan,
                                 const std::int64_t* multiples,
                                 std::int64_t* out, int oy0, int ox, int rn,
                                 __mmask8 mask) {
-  static_assert(kMaxConvRowTile == 8, "extend the dispatch switch");
   switch (rn) {
-    case 8:
-      conv_tile_tail_avx512<8>(plan, multiples, out, oy0, ox, mask);
-      break;
-    case 7:
-      conv_tile_tail_avx512<7>(plan, multiples, out, oy0, ox, mask);
-      break;
     case 6:
       conv_tile_tail_avx512<6>(plan, multiples, out, oy0, ox, mask);
       break;
@@ -272,87 +257,14 @@ void conv_tile_tail_rows_avx512(const ConvLayerPlan& plan,
   }
 }
 
-// Weight-stationary variant at zmm width — see conv_ws_avx2 for the
-// shape and the per-term sign-distribution bit-exactness argument.
-void conv_ws_avx512(const ConvLayerPlan& plan, const std::int64_t* multiples,
-                    std::int64_t* out) {
-  const std::size_t stride = plan.plane_stride();
-  const std::size_t positions = plan.positions();
-  const std::uint32_t* idx = plan.idx.data();
-  const std::int64_t* shifts = plan.shifts.data();
-  const std::int64_t* signs = plan.sign_masks.data();
-  for (int r = 0; r < plan.oc; ++r) {
-    std::int64_t* dst = out + static_cast<std::size_t>(r) * positions;
-    const std::int64_t bias = plan.biases[static_cast<std::size_t>(r)];
-    const __m512i vbias = _mm512_set1_epi64(bias);
-    std::size_t p = 0;
-    for (; p + kZmmLanes <= positions; p += kZmmLanes) {
-      _mm512_storeu_si512(dst + p, vbias);
-    }
-    for (; p < positions; ++p) dst[p] = bias;
-    const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
-    for (int c = 0; c < plan.cols_padded; ++c) {
-      const std::size_t cell = row + static_cast<std::size_t>(c);
-      if (idx[cell] == plan.zero_base) continue;  // zero-step weight
-      const std::int64_t sign = signs[cell];
-      const __m512i vsign = _mm512_set1_epi64(sign);
-      for (int q = 0; q < plan.planes; ++q) {
-        const std::size_t pc = q * stride + cell;
-        const std::uint32_t cell_idx = idx[pc];
-        if (cell_idx == plan.zero_base) break;  // steps are packed
-        const std::int64_t shift = shifts[pc];
-        const __m128i sh = _mm_cvtsi32_si128(static_cast<int>(shift));
-        for (int oy = 0; oy < plan.oh; ++oy) {
-          const std::int64_t* src =
-              multiples + cell_idx + static_cast<std::size_t>(oy) * plan.iw;
-          std::int64_t* drow = dst + static_cast<std::size_t>(oy) * plan.ow;
-          int ox = 0;
-          for (; ox + kZmmLanes <= plan.ow; ox += kZmmLanes) {
-            const __m512i m = _mm512_loadu_si512(src + ox);
-            __m512i t = _mm512_sll_epi64(m, sh);
-            t = _mm512_sub_epi64(_mm512_xor_si512(t, vsign), vsign);
-            const __m512i d = _mm512_loadu_si512(drow + ox);
-            _mm512_storeu_si512(drow + ox, _mm512_add_epi64(d, t));
-          }
-          if (ox < plan.ow) {  // lane-masked row tail
-            const __mmask8 mask =
-                static_cast<__mmask8>((1u << (plan.ow - ox)) - 1u);
-            const __m512i m = _mm512_maskz_loadu_epi64(mask, src + ox);
-            __m512i t = _mm512_sll_epi64(m, sh);
-            t = _mm512_sub_epi64(_mm512_xor_si512(t, vsign), vsign);
-            const __m512i d = _mm512_maskz_loadu_epi64(mask, drow + ox);
-            _mm512_mask_storeu_epi64(drow + ox, mask,
-                                     _mm512_add_epi64(d, t));
-          }
-        }
-      }
-    }
-  }
-}
-
-void accumulate_conv_avx512_shaped(const ConvLayerPlan& plan,
-                                   const std::int64_t* multiples,
-                                   std::int64_t* out,
-                                   const ConvTileShape& shape) {
-  if (shape.weight_stationary) {
-    conv_ws_avx512(plan, multiples, out);
-    return;
-  }
-  const int row_tile = shape.row_tile > 0
-                           ? std::min(shape.row_tile, kMaxConvRowTile)
-                           : kConvRowTile512;
-  const int col_vecs =
-      shape.col_vecs > 0 ? std::min(shape.col_vecs, kMaxConvColVecs) : 1;
-  for (int oy0 = 0; oy0 < plan.oh; oy0 += row_tile) {
-    const int rn = std::min(row_tile, plan.oh - oy0);
+void accumulate_conv_avx512(const ConvLayerPlan& plan,
+                            const std::int64_t* multiples,
+                            std::int64_t* out) {
+  for (int oy0 = 0; oy0 < plan.oh; oy0 += kTile.row_tile) {
+    const int rn = std::min(kTile.row_tile, plan.oh - oy0);
     int ox = 0;
-    if (col_vecs >= 2) {
-      for (; ox + 2 * kZmmLanes <= plan.ow; ox += 2 * kZmmLanes) {
-        conv_tile_rows_avx512<2>(plan, multiples, out, oy0, ox, rn);
-      }
-    }
     for (; ox + kZmmLanes <= plan.ow; ox += kZmmLanes) {
-      conv_tile_rows_avx512<1>(plan, multiples, out, oy0, ox, rn);
+      conv_tile_rows_avx512(plan, multiples, out, oy0, ox, rn);
     }
     // Row tail (ow % 8 positions): one lane-masked partial vector.
     if (ox < plan.ow) {
@@ -416,7 +328,7 @@ class Avx512Backend final : public KernelBackend {
                        std::int64_t* out) const override {
 #if defined(MAN_HAVE_AVX512) && defined(__AVX512F__) && defined(__AVX512VL__)
     if (avx512_) {
-      accumulate_conv_avx512_shaped(plan, multiples, out, plan.tile_avx512);
+      accumulate_conv_avx512(plan, multiples, out);
       return;
     }
 #endif
@@ -439,23 +351,6 @@ class Avx512Backend final : public KernelBackend {
 const KernelBackend& avx512_backend() {
   static const Avx512Backend backend;
   return backend;
-}
-
-bool conv_run_shaped_avx512(const ConvLayerPlan& plan,
-                            const std::int64_t* multiples, std::int64_t* out,
-                            const ConvTileShape& shape) {
-#if defined(MAN_HAVE_AVX512) && defined(__AVX512F__) && defined(__AVX512VL__)
-  if (avx512_backend().accelerated()) {
-    accumulate_conv_avx512_shaped(plan, multiples, out, shape);
-    return true;
-  }
-#else
-  (void)plan;
-  (void)multiples;
-  (void)out;
-  (void)shape;
-#endif
-  return false;
 }
 
 }  // namespace man::backend::detail

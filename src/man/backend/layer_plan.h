@@ -130,25 +130,16 @@ struct AsmWeight {
 /// 256-bit vector).
 inline constexpr int kLaneWidth = 4;
 
-/// Largest register-blocking tile the vectorized conv kernels
-/// instantiate: output rows per tile and vector-width column groups
-/// per tile. Shapes beyond these bounds are rejected by
-/// autotune_conv_plan()/MAN_CONV_TILE.
-inline constexpr int kMaxConvRowTile = 8;
-inline constexpr int kMaxConvColVecs = 2;
-
 /// Register-blocking shape of one vectorized conv kernel pass:
 /// row_tile output rows × col_vecs vector-width column groups per
-/// tile, or (weight_stationary) one plan entry broadcast-held in
-/// registers while every output position streams past it. Zero
-/// fields mean "kernel default". Picked per plan geometry by
-/// autotune_conv_plan() at compile_plan() time (or forced via
-/// MAN_CONV_TILE) and recorded on ConvLayerPlan; every shape is
+/// tile. Each ISA runs exactly one shape, fixed at compile time as
+/// ConvLayerPlan::tile_avx2 / tile_avx512; every shape is
 /// bit-identical to the scalar reference — only speed differs.
 struct ConvTileShape {
-  int row_tile = 0;  ///< output rows per tile (1..kMaxConvRowTile)
-  int col_vecs = 0;  ///< vector column groups per tile (1..kMaxConvColVecs)
-  bool weight_stationary = false;  ///< sweep positions per plan entry
+  int row_tile = 0;  ///< output rows per tile
+  int col_vecs = 0;  ///< vector column groups per tile
+  /// Always false: every kernel keeps output positions in registers.
+  bool weight_stationary = false;
 };
 
 /// Self-contained per-layer plan consumed by KernelBackend
@@ -285,20 +276,16 @@ struct ConvLayerPlan {
   /// min > max (the default) means unknown (hash fallback).
   std::int64_t in_min_raw = 0;
   std::int64_t in_max_raw = -1;
-
-  /// Register-blocking tile shapes the vectorized kernels dispatch
-  /// on, one per ISA (the portable/blocked kernels ignore them).
-  /// Default-constructed shapes mean "kernel default"; filled in by
-  /// autotune_conv_plan() during FixedNetwork::compile_plan().
-  ConvTileShape tile_avx2;
-  ConvTileShape tile_avx512;
-  /// True once autotune_conv_plan() measured (or was forced to) a
-  /// shape for this plan — false for exact plans, tiny geometries,
-  /// and builds where no vector kernel is live.
-  bool tiles_tuned = false;
   [[nodiscard]] bool has_input_range() const noexcept {
     return in_min_raw <= in_max_raw;
   }
+
+  /// Register-blocking tile shape each vectorized kernel runs (the
+  /// portable/blocked kernels have none). The same for every plan: a
+  /// per-geometry tile search measured within noise of these shapes
+  /// on the shipped models (docs/backends.md).
+  static constexpr ConvTileShape tile_avx2{4, 1, false};
+  static constexpr ConvTileShape tile_avx512{6, 1, false};
 
   /// Output positions per filter (out has oc · positions() slots,
   /// channel-major).

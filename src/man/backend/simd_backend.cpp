@@ -71,9 +71,10 @@ void accumulate_planes_avx2(const DenseLayerPlan& plan,
   }
 }
 
-/// Default conv tile when the plan carries no autotuned shape: 4
-/// output rows × one 4-lane column group per pass (the PR 5 shape).
-inline constexpr int kConvRowTile = 4;
+/// The fixed conv tile: 4 output rows × one 4-lane vector.
+constexpr ConvTileShape kTile = ConvLayerPlan::tile_avx2;
+static_assert(kTile.row_tile == 4 && kTile.col_vecs == 1,
+              "conv_tile_rows_avx2 covers row tiles 1..4 of one vector");
 
 // Conv kernel vectorized over output *positions*, not weight columns:
 // a conv weight fires at every position with the same idx/shift/sign,
@@ -81,20 +82,18 @@ inline constexpr int kConvRowTile = 4;
 // plan entry — and in the lane-major multiples layout their reads are
 // *contiguous*, so the inner step is a plain 256-bit load plus one
 // broadcast-count shift (_mm256_sll_epi64); no gather at all. Each
-// plan entry additionally feeds a register-blocked grid of RN output
-// rows × CN column groups (one vector accumulator each) before the
-// walk moves on, so the (often L1-exceeding) plan streams through
-// RN·CN·4 times less often. Packed quartet steps let whole absent
-// planes (and zero-step weights) skip without touching memory.
-// Positions left of a 4-lane row boundary run the same math scalar
-// (conv_positions_scalar), so every output is bit-identical to the
-// reference regardless of ow % 4.
-/// One vectorized tile: RN output rows × CN 4-lane column groups
-/// starting at (oy0, ox), every filter. RN/CN are compile-time
-/// constants so the accumulator/product arrays live in ymm registers
-/// (shapes near the kMaxConvRowTile × kMaxConvColVecs corner spill;
-/// the autotuner simply measures them and moves on).
-template <int RN, int CN>
+// plan entry additionally feeds a register-blocked column of RN
+// output rows (one vector accumulator each) before the walk moves on,
+// so the (often L1-exceeding) plan streams through RN·4 times less
+// often. Packed quartet steps let whole absent planes (and zero-step
+// weights) skip without touching memory. Positions left of a 4-lane
+// row boundary run the same math scalar (conv_positions_scalar), so
+// every output is bit-identical to the reference regardless of
+// ow % 4.
+/// One vectorized tile: RN output rows × one 4-lane column group
+/// starting at (oy0, ox), every filter. RN is a compile-time
+/// constant so the accumulator/product arrays live in ymm registers.
+template <int RN>
 void conv_tile_avx2(const ConvLayerPlan& plan,
                     const std::int64_t* multiples, std::int64_t* out,
                     int oy0, int ox) {
@@ -106,15 +105,15 @@ void conv_tile_avx2(const ConvLayerPlan& plan,
   const std::size_t ebase0 = static_cast<std::size_t>(oy0) * plan.iw + ox;
   for (int r = 0; r < plan.oc; ++r) {
     const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
-    __m256i acc[RN * CN];
+    __m256i acc[RN];
     const __m256i bias =
         _mm256_set1_epi64x(plan.biases[static_cast<std::size_t>(r)]);
-    for (int t = 0; t < RN * CN; ++t) acc[t] = bias;
+    for (int ty = 0; ty < RN; ++ty) acc[ty] = bias;
     for (int c = 0; c < plan.cols_padded; ++c) {
       const std::size_t cell = row + static_cast<std::size_t>(c);
       if (idx[cell] == plan.zero_base) continue;  // zero-step weight
-      __m256i product[RN * CN];
-      for (int t = 0; t < RN * CN; ++t) product[t] = _mm256_setzero_si256();
+      __m256i product[RN];
+      for (int ty = 0; ty < RN; ++ty) product[ty] = _mm256_setzero_si256();
       for (int q = 0; q < plan.planes; ++q) {
         const std::size_t pc = q * stride + cell;
         const std::uint32_t cell_idx = idx[pc];
@@ -122,139 +121,48 @@ void conv_tile_avx2(const ConvLayerPlan& plan,
         const __m128i sh = _mm_cvtsi32_si128(static_cast<int>(shifts[pc]));
         const std::int64_t* src = multiples + cell_idx + ebase0;
         for (int ty = 0; ty < RN; ++ty) {
-          for (int tx = 0; tx < CN; ++tx) {
-            const __m256i m = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(
-                    src + static_cast<std::size_t>(ty) * plan.iw +
-                    static_cast<std::size_t>(tx) * kLaneWidth));
-            product[ty * CN + tx] = _mm256_add_epi64(
-                product[ty * CN + tx], _mm256_sll_epi64(m, sh));
-          }
+          const __m256i m = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+              src + static_cast<std::size_t>(ty) * plan.iw));
+          product[ty] = _mm256_add_epi64(product[ty], _mm256_sll_epi64(m, sh));
         }
       }
       const __m256i sign = _mm256_set1_epi64x(signs[cell]);
-      for (int t = 0; t < RN * CN; ++t) {
-        acc[t] = _mm256_add_epi64(
-            acc[t],
-            _mm256_sub_epi64(_mm256_xor_si256(product[t], sign), sign));
+      for (int ty = 0; ty < RN; ++ty) {
+        acc[ty] = _mm256_add_epi64(
+            acc[ty],
+            _mm256_sub_epi64(_mm256_xor_si256(product[ty], sign), sign));
       }
     }
     for (int ty = 0; ty < RN; ++ty) {
-      for (int tx = 0; tx < CN; ++tx) {
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(
-                out + static_cast<std::size_t>(r) * positions +
-                static_cast<std::size_t>(oy0 + ty) * plan.ow + ox +
-                static_cast<std::size_t>(tx) * kLaneWidth),
-            acc[ty * CN + tx]);
-      }
+      _mm256_storeu_si256(
+          reinterpret_cast<__m256i*>(
+              out + static_cast<std::size_t>(r) * positions +
+              static_cast<std::size_t>(oy0 + ty) * plan.ow + ox),
+          acc[ty]);
     }
   }
 }
 
-/// Runtime row count → compile-time RN dispatch for one column width.
-template <int CN>
+/// Runtime row count (the last row tile may be partial) →
+/// compile-time RN dispatch.
 void conv_tile_rows_avx2(const ConvLayerPlan& plan,
                          const std::int64_t* multiples, std::int64_t* out,
                          int oy0, int ox, int rn) {
-  static_assert(kMaxConvRowTile == 8, "extend the dispatch switch");
   switch (rn) {
-    case 8: conv_tile_avx2<8, CN>(plan, multiples, out, oy0, ox); break;
-    case 7: conv_tile_avx2<7, CN>(plan, multiples, out, oy0, ox); break;
-    case 6: conv_tile_avx2<6, CN>(plan, multiples, out, oy0, ox); break;
-    case 5: conv_tile_avx2<5, CN>(plan, multiples, out, oy0, ox); break;
-    case 4: conv_tile_avx2<4, CN>(plan, multiples, out, oy0, ox); break;
-    case 3: conv_tile_avx2<3, CN>(plan, multiples, out, oy0, ox); break;
-    case 2: conv_tile_avx2<2, CN>(plan, multiples, out, oy0, ox); break;
-    default: conv_tile_avx2<1, CN>(plan, multiples, out, oy0, ox); break;
+    case 4: conv_tile_avx2<4>(plan, multiples, out, oy0, ox); break;
+    case 3: conv_tile_avx2<3>(plan, multiples, out, oy0, ox); break;
+    case 2: conv_tile_avx2<2>(plan, multiples, out, oy0, ox); break;
+    default: conv_tile_avx2<1>(plan, multiples, out, oy0, ox); break;
   }
 }
 
-// Weight-stationary variant: instead of keeping a tile of output
-// positions in registers and streaming the plan past it, keep one
-// plan entry (idx/shift/sign broadcasts) in registers and stream
-// *every* output position past it — the plan is read exactly once
-// per pass and the output rows become the streaming dimension
-// (profitable when the plan dwarfs the output tile). Applying the
-// sign per *term* instead of per product is exact: two's-complement
-// negation distributes over the wrapping sum, so the accumulated
-// bits match the scalar reference.
-void conv_ws_avx2(const ConvLayerPlan& plan, const std::int64_t* multiples,
-                  std::int64_t* out) {
-  const std::size_t stride = plan.plane_stride();
-  const std::size_t positions = plan.positions();
-  const std::uint32_t* idx = plan.idx.data();
-  const std::int64_t* shifts = plan.shifts.data();
-  const std::int64_t* signs = plan.sign_masks.data();
-  for (int r = 0; r < plan.oc; ++r) {
-    std::int64_t* dst = out + static_cast<std::size_t>(r) * positions;
-    const std::int64_t bias = plan.biases[static_cast<std::size_t>(r)];
-    const __m256i vbias = _mm256_set1_epi64x(bias);
-    std::size_t p = 0;
-    for (; p + kLaneWidth <= positions; p += kLaneWidth) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + p), vbias);
-    }
-    for (; p < positions; ++p) dst[p] = bias;
-    const std::size_t row = static_cast<std::size_t>(r) * plan.cols_padded;
-    for (int c = 0; c < plan.cols_padded; ++c) {
-      const std::size_t cell = row + static_cast<std::size_t>(c);
-      if (idx[cell] == plan.zero_base) continue;  // zero-step weight
-      const std::int64_t sign = signs[cell];
-      const __m256i vsign = _mm256_set1_epi64x(sign);
-      for (int q = 0; q < plan.planes; ++q) {
-        const std::size_t pc = q * stride + cell;
-        const std::uint32_t cell_idx = idx[pc];
-        if (cell_idx == plan.zero_base) break;  // steps are packed
-        const std::int64_t shift = shifts[pc];
-        const __m128i sh = _mm_cvtsi32_si128(static_cast<int>(shift));
-        for (int oy = 0; oy < plan.oh; ++oy) {
-          const std::int64_t* src =
-              multiples + cell_idx + static_cast<std::size_t>(oy) * plan.iw;
-          std::int64_t* drow = dst + static_cast<std::size_t>(oy) * plan.ow;
-          int ox = 0;
-          for (; ox + kLaneWidth <= plan.ow; ox += kLaneWidth) {
-            const __m256i m = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(src + ox));
-            __m256i t = _mm256_sll_epi64(m, sh);
-            t = _mm256_sub_epi64(_mm256_xor_si256(t, vsign), vsign);
-            __m256i d = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(drow + ox));
-            _mm256_storeu_si256(reinterpret_cast<__m256i*>(drow + ox),
-                                _mm256_add_epi64(d, t));
-          }
-          for (; ox < plan.ow; ++ox) {
-            const std::int64_t t = src[ox] << shift;
-            drow[ox] += (t ^ sign) - sign;
-          }
-        }
-      }
-    }
-  }
-}
-
-void accumulate_conv_avx2_shaped(const ConvLayerPlan& plan,
-                                 const std::int64_t* multiples,
-                                 std::int64_t* out,
-                                 const ConvTileShape& shape) {
-  if (shape.weight_stationary) {
-    conv_ws_avx2(plan, multiples, out);
-    return;
-  }
-  const int row_tile = shape.row_tile > 0
-                           ? std::min(shape.row_tile, kMaxConvRowTile)
-                           : kConvRowTile;
-  const int col_vecs =
-      shape.col_vecs > 0 ? std::min(shape.col_vecs, kMaxConvColVecs) : 1;
-  for (int oy0 = 0; oy0 < plan.oh; oy0 += row_tile) {
-    const int rn = std::min(row_tile, plan.oh - oy0);
+void accumulate_conv_avx2(const ConvLayerPlan& plan,
+                          const std::int64_t* multiples, std::int64_t* out) {
+  for (int oy0 = 0; oy0 < plan.oh; oy0 += kTile.row_tile) {
+    const int rn = std::min(kTile.row_tile, plan.oh - oy0);
     int ox = 0;
-    if (col_vecs >= 2) {
-      for (; ox + 2 * kLaneWidth <= plan.ow; ox += 2 * kLaneWidth) {
-        conv_tile_rows_avx2<2>(plan, multiples, out, oy0, ox, rn);
-      }
-    }
     for (; ox + kLaneWidth <= plan.ow; ox += kLaneWidth) {
-      conv_tile_rows_avx2<1>(plan, multiples, out, oy0, ox, rn);
+      conv_tile_rows_avx2(plan, multiples, out, oy0, ox, rn);
     }
     // Row tail (ow % 4 positions): same walk, one position at a time.
     conv_positions_scalar(plan, multiples, out, oy0, rn, ox);
@@ -310,7 +218,7 @@ class SimdBackend final : public KernelBackend {
                        std::int64_t* out) const override {
 #if defined(MAN_HAVE_AVX2) && defined(__AVX2__)
     if (avx2_) {
-      accumulate_conv_avx2_shaped(plan, multiples, out, plan.tile_avx2);
+      accumulate_conv_avx2(plan, multiples, out);
       return;
     }
 #endif
@@ -333,23 +241,6 @@ class SimdBackend final : public KernelBackend {
 const KernelBackend& simd_backend() {
   static const SimdBackend backend;
   return backend;
-}
-
-bool conv_run_shaped_avx2(const ConvLayerPlan& plan,
-                          const std::int64_t* multiples, std::int64_t* out,
-                          const ConvTileShape& shape) {
-#if defined(MAN_HAVE_AVX2) && defined(__AVX2__)
-  if (simd_backend().accelerated()) {
-    accumulate_conv_avx2_shaped(plan, multiples, out, shape);
-    return true;
-  }
-#else
-  (void)plan;
-  (void)multiples;
-  (void)out;
-  (void)shape;
-#endif
-  return false;
 }
 
 }  // namespace man::backend::detail

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "man/backend/conv_autotune.h"
 #include "man/core/asm_multiplier.h"
 #include "man/core/quartet.h"
 #include "man/core/weight_constraint.h"
@@ -320,12 +319,6 @@ FixedNetwork::FixedNetwork(const CompiledModel& model,
   }
 
   link_stages();
-  // Plans saved on a host without live vector backends arrive with
-  // untuned tiles; finish the pick here (no-op when already tuned,
-  // exact, or tiny).
-  for (auto& plan : conv_plans_) {
-    if (!plan.tiles_tuned) man::backend::autotune_conv_plan(plan);
-  }
   default_kernel_ = &man::backend::resolve();
 }
 
@@ -413,10 +406,6 @@ void FixedNetwork::compile_plan() {
       }
       conv_plans_.back().in_min_raw = in_min;
       conv_plans_.back().in_max_raw = in_max;
-      // One-shot register-blocking microbench: pick the vector
-      // kernels' tile shapes for this geometry (construction is
-      // single-threaded; the plan is immutable afterwards).
-      man::backend::autotune_conv_plan(conv_plans_.back());
     }
   }
 }

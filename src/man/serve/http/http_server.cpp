@@ -528,12 +528,7 @@ void HttpServer::drain_completions() {
     if (it == conns_.end()) continue;  // client already disconnected
     Conn& conn = *it->second;
     finish_slot(conn, seq, code, std::move(body), extra);
-    if (flush(conn)) {
-      if (auto again = conns_.find(conn_id); again != conns_.end()) {
-        process_parsed(*again->second);  // resume pipelined parsing
-        flush(*again->second);
-      }
-    }
+    flush(conn);  // also resumes pipelined parsing
   }
 
   if (globally_paused_ && inflight_ <= config_.max_inflight * 3 / 4) {
@@ -580,6 +575,22 @@ void HttpServer::respond_now(Conn& conn, bool keep_alive, int http_code,
 }
 
 bool HttpServer::flush(Conn& conn) {
+  // Inline answers (/healthz, 404, 429) are ready as soon as they are
+  // parsed, so a window full of them pauses reads with nothing in
+  // flight to resume them. Resume here once they are written; wait
+  // while a write is pending, so the window still bounds the
+  // responses queued for a slow reader.
+  for (;;) {
+    if (!write_ready(conn)) return false;
+    if (!conn.reading_paused || conn.want_write ||
+        conn.slots.size() >= config_.max_pipeline) {
+      return true;
+    }
+    process_parsed(conn);
+  }
+}
+
+bool HttpServer::write_ready(Conn& conn) {
   // Move completed in-order responses into the write buffer. A
   // keep_alive=false slot seals the connection: anything pipelined
   // behind it is dropped.

@@ -174,8 +174,13 @@ class HttpServer {
   Slot& open_slot(Conn& conn, bool keep_alive);
   void respond_now(Conn& conn, bool keep_alive, int http_code,
                    std::string body, const std::string& retry_after = {});
-  /// Returns false when the connection was destroyed while flushing.
+  /// Writes ready in-order responses; when that frees a pipeline
+  /// window that paused reads, parses the requests already buffered
+  /// behind it. Returns false when the connection was destroyed.
   bool flush(Conn& conn);
+  /// One pass of flush: ready responses into the socket. Returns
+  /// false when the connection was destroyed while writing.
+  bool write_ready(Conn& conn);
   void destroy(Conn& conn);
   void update_interest(Conn& conn);
   void apply_backpressure();

@@ -437,28 +437,27 @@ void InferenceServer::dispatch_loop() {
               .count());
       pending.deliver(std::move(result));
     }
-    std::uint64_t batch_ns = 0;
-    if (!batch.empty()) {
-      const auto started = Clock::now();
-      run_batch(batch, total_samples, tier);
-      batch_ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                               started)
-              .count());
-    }
+    if (!batch.empty()) run_batch(batch, total_samples, tier);
     lock.lock();
-    if (!batch.empty()) {
-      metrics_.tier_batches[tier] += 1;
-      metrics_.tier_samples[tier] += total_samples;
-      stats_snapshot_ = merged_runner_stats();
-      const std::uint64_t per_sample =
-          batch_ns / std::max<std::size_t>(total_samples, 1);
-      ewma_ns_per_sample_ =
-          ewma_ns_per_sample_ == 0
-              ? per_sample
-              : (4 * ewma_ns_per_sample_ + per_sample) / 5;
-    }
   }
+}
+
+void InferenceServer::publish_batch(std::size_t tier,
+                                    std::size_t total_samples,
+                                    Clock::time_point started) {
+  const std::uint64_t batch_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                           started)
+          .count());
+  std::lock_guard<std::mutex> lock(mutex_);
+  metrics_.tier_batches[tier] += 1;
+  metrics_.tier_samples[tier] += total_samples;
+  stats_snapshot_ = merged_runner_stats();
+  const std::uint64_t per_sample =
+      batch_ns / std::max<std::size_t>(total_samples, 1);
+  ewma_ns_per_sample_ = ewma_ns_per_sample_ == 0
+                            ? per_sample
+                            : (4 * ewma_ns_per_sample_ + per_sample) / 5;
 }
 
 void InferenceServer::run_batch(std::vector<Pending>& batch,
@@ -483,6 +482,7 @@ void InferenceServer::run_batch(std::vector<Pending>& batch,
     // legacy contract), callback holders a kShutdown result carrying
     // the reason.
     const std::exception_ptr eptr = std::current_exception();
+    publish_batch(tier, total_samples, started);
     for (Pending& pending : batch) {
       if (pending.callback) {
         pending.callback(
@@ -495,6 +495,7 @@ void InferenceServer::run_batch(std::vector<Pending>& batch,
     return;
   } catch (...) {
     const std::exception_ptr eptr = std::current_exception();
+    publish_batch(tier, total_samples, started);
     for (Pending& pending : batch) {
       if (pending.callback) {
         pending.callback(make_rejection(Status::kShutdown, "engine error"));
@@ -510,9 +511,11 @@ void InferenceServer::run_batch(std::vector<Pending>& batch,
                                                            started)
           .count());
 
+  std::vector<InferenceResult> results(batch.size());
   std::size_t sample_offset = 0;
-  for (Pending& pending : batch) {
-    InferenceResult result;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const Pending& pending = batch[i];
+    InferenceResult& result = results[i];
     result.status = Status::kOk;
     result.samples = pending.count;
     result.output_size = out_size;
@@ -536,7 +539,10 @@ void InferenceServer::run_batch(std::vector<Pending>& batch,
     result.tier = tier;
     result.tier_name = rung.spec.name;
     sample_offset += pending.count;
-    pending.deliver(std::move(result));
+  }
+  publish_batch(tier, total_samples, started);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    batch[i].deliver(std::move(results[i]));
   }
 }
 

@@ -244,8 +244,15 @@ class InferenceServer {
   [[nodiscard]] man::engine::EngineStats merged_runner_stats() const;
 
   void dispatch_loop();
+  /// Runs one micro-batch, publishes its stats (publish_batch), and
+  /// only then delivers its results, so a caller that reads stats()
+  /// or metrics() after its result arrives sees its own batch.
   void run_batch(std::vector<Pending>& batch, std::size_t total_samples,
                  std::size_t tier);
+  /// Folds one finished batch into metrics_, stats_snapshot_ and the
+  /// per-sample EWMA, under mutex_.
+  void publish_batch(std::size_t tier, std::size_t total_samples,
+                     Clock::time_point started);
   [[nodiscard]] std::chrono::nanoseconds estimated_delay_locked()
       const noexcept;
 

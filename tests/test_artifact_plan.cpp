@@ -193,19 +193,22 @@ TEST_F(PlanArtifactTest, FlippedPayloadByteRejected) {
   EXPECT_THROW((void)load_engine(file, "key"), SerializationError);
 }
 
+// Both the previous format (version 1 carried per-plan conv tile
+// shapes) and a future one are rejected.
 TEST_F(PlanArtifactTest, VersionBumpRejected) {
-  const FixedNetwork engine(compile(make_mlp(3), 8, 4));
+  const FixedNetwork engine(compile(make_cnn(3), 8, 4));
   const std::string file = path("engine.plan");
-  save_engine(engine, file, "key");
-  {
-    // The version field sits at byte 8, right after the magic.
-    std::fstream f(file, std::ios::binary | std::ios::in | std::ios::out);
-    const std::uint32_t future_version = kArtifactVersion + 1;
-    f.seekp(8);
-    f.write(reinterpret_cast<const char*>(&future_version),
-            sizeof future_version);
+  for (const std::uint32_t version : {1u, kArtifactVersion + 1}) {
+    save_engine(engine, file, "key");
+    {
+      // The version field sits at byte 8, right after the magic.
+      std::fstream f(file, std::ios::binary | std::ios::in | std::ios::out);
+      f.seekp(8);
+      f.write(reinterpret_cast<const char*>(&version), sizeof version);
+    }
+    EXPECT_THROW((void)load_engine(file, "key"), SerializationError)
+        << "version " << version;
   }
-  EXPECT_THROW((void)load_engine(file, "key"), SerializationError);
 }
 
 TEST_F(PlanArtifactTest, WrongConfigKeyAndMissingFileRejected) {

@@ -213,10 +213,22 @@ Network make_tiny_cnn(std::uint64_t seed) {
   return net;
 }
 
+// Wide single-conv network: its 10×18 output leaves ragged column
+// tails at both lane widths (18 % 4 and 18 % 8) and a partial last
+// row tile at both the AVX2 (4-row) and AVX-512 (6-row) tile depth.
+Network make_wide_cnn(std::uint64_t seed) {
+  man::util::Rng rng(seed);
+  Network net;
+  net.add<Conv2D>(1, 3, 3, 12, 20).init_xavier(rng);  // 3 @ 10×18
+  net.add<ActivationLayer>(man::core::ActivationKind::kTanh);
+  net.add<Dense>(540, 4).init_xavier(rng);
+  return net;
+}
+
 // Conv twin of BackendBitIdentity: the same contract over ConvLayerPlan
 // — every backend's accumulate_conv/exact_conv must match the scalar
 // reference bit for bit, at both paper weight widths, for ASM and
-// conventional schemes, on non-square and 1-channel geometry.
+// conventional schemes, on non-square, 1-channel and wide geometry.
 class ConvBackendBitIdentity : public ::testing::TestWithParam<int> {};
 
 TEST_P(ConvBackendBitIdentity, EveryBackendMatchesScalarReference) {
@@ -224,7 +236,8 @@ TEST_P(ConvBackendBitIdentity, EveryBackendMatchesScalarReference) {
   const QuantSpec spec = QuantSpec::for_bits(bits);
   const AlphabetSet set = AlphabetSet::four();
 
-  for (Network (*build)(std::uint64_t) : {&make_cnn, &make_tiny_cnn}) {
+  for (Network (*build)(std::uint64_t) :
+       {&make_cnn, &make_tiny_cnn, &make_wide_cnn}) {
     Network net = build(300 + static_cast<std::uint64_t>(bits));
     const ProjectionPlan projection(spec, set, net.num_weight_layers());
     projection.project_network(net);

@@ -310,6 +310,27 @@ TEST(HttpServer, KeepAlivePipelining) {
   EXPECT_NE(third.body.find("\"responses_ok\":"), std::string::npos);
 }
 
+// Inline answers (/healthz here, like 404s and 429s) are ready as
+// soon as they are parsed, so they can fill the whole pipeline window
+// at once. Writing them out must resume parsing: three windows' worth
+// on one connection are all answered well before the idle timeout.
+TEST(HttpServer, InlineAnswersFillingThePipelineDoNotStall) {
+  HttpServerConfig http;
+  http.max_pipeline = 4;
+  Fixture fixture(Fixture::fast_config(), http);
+  HttpClient client("127.0.0.1", fixture.server.port(), 2s);
+
+  std::string burst;
+  for (int i = 0; i < 12; ++i) burst += HttpClient::frame("GET", "/healthz");
+  client.send_raw(burst);
+  for (int i = 0; i < 12; ++i) {
+    HttpResponse response;
+    ASSERT_NO_THROW(response = client.read_response()) << "response " << i;
+    EXPECT_EQ(response.status, 200);
+  }
+  EXPECT_EQ(fixture.server.metrics().idle_closed, 0u);
+}
+
 // Admission control: a request that can never fit the bounded queue
 // is shed immediately with 429 + Retry-After.
 TEST(HttpServer, OverloadShedsWith429RetryAfter) {
